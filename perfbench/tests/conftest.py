@@ -1,0 +1,13 @@
+"""Import the benchmark's modules and this checkout's ``repro``.
+
+Run with ``python -m pytest perfbench/tests`` from the checkout root.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+for path in (BENCH, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
