@@ -239,14 +239,13 @@ class DimensionReductionPass(LintPass):
 class SchedulingContractAuditPass(LintPass):
     """PV207: every component class in a PreVV build must be audited.
 
-    The incremental cross-cycle engine trusts three per-class contract
-    flags (``observes_input_valid``, ``forwards_valid``,
-    ``observes_output_ready``) plus each :meth:`tick`'s changed-state
-    report to decide which components it may skip.  A class whose
-    contract was never checked against its ``propagate``/``tick`` bodies
-    can silently corrupt results (flag too permissive) or de-optimize
-    every PreVV simulation back to full sweeps (flag too conservative).
-    The audit is recorded by setting ``scheduling_contract_audited=True``
+    The levelized engine's wake lists and the compiled engine's schedule
+    trust three per-class contract flags (``observes_input_valid``,
+    ``forwards_valid``, ``observes_output_ready``) to decide which
+    components a signal change can reach.  A class whose contract was
+    never checked against its ``propagate`` body can silently corrupt
+    results (flag too permissive) or cost needless re-evaluations (flag
+    too conservative).  The audit is recorded by setting ``scheduling_contract_audited=True``
     on the class; this pass refuses any PreVV-build component class that
     does not carry the marker.
     """
@@ -272,7 +271,7 @@ class SchedulingContractAuditPass(LintPass):
                     "does not declare an audited scheduling contract",
                     location=f"{ctx.circuit.name}:{comp.name}",
                     hint="check observes_input_valid / forwards_valid / "
-                    "observes_output_ready and the tick() change report "
-                    "against the class' propagate/tick bodies, then set "
-                    "scheduling_contract_audited = True on the class",
+                    "observes_output_ready against the class' propagate "
+                    "body, then set scheduling_contract_audited = True on "
+                    "the class",
                 )

@@ -5,6 +5,7 @@ import pytest
 from repro.bench import (
     bench_point,
     check_against_baseline,
+    main,
     run_bench,
 )
 from repro.eval.configs import BY_NAME
@@ -23,8 +24,8 @@ class TestBenchPoint:
         assert "profile" not in point
         # The report must record the engine actually used, not just the
         # one requested — fallbacks have to be visible in the JSON.
-        assert point["engine_requested"] == "incremental"
-        assert point["engine"] == "incremental"
+        assert point["engine_requested"] == "levelized"
+        assert point["engine"] == "levelized"
         assert point["evals_per_sec"] > 0
 
     def test_compiled_point_records_engine(self):
@@ -80,11 +81,11 @@ class TestRunBench:
     def test_engine_axis(self):
         result = run_bench(
             quick=True, kernels=["polyn_mult"], configs=["dynamatic"],
-            engines=["incremental", "compiled"],
+            engines=["levelized", "compiled"],
         )
-        assert result["engines"] == ["incremental", "compiled"]
+        assert result["engines"] == ["levelized", "compiled"]
         assert [p["engine"] for p in result["points"]] == [
-            "incremental", "compiled"
+            "levelized", "compiled"
         ]
         cycles = {p["cycles"] for p in result["points"]}
         assert len(cycles) == 1  # engines agree on architectural time
@@ -107,6 +108,7 @@ class TestCheck:
                 {
                     "kernel": "k",
                     "config": "c",
+                    "engine": "levelized",
                     "cycles": cycles,
                     "propagate_calls_per_cycle": epc,
                 }
@@ -135,6 +137,7 @@ class TestCheck:
             {
                 "kernel": "k",
                 "config": "other",
+                "engine": "levelized",
                 "cycles": 1,
                 "propagate_calls_per_cycle": 1.0,
             }
@@ -143,21 +146,34 @@ class TestCheck:
         assert errors == []
 
     def test_points_are_keyed_per_engine(self):
-        """A compiled point never checks against an incremental baseline
+        """A compiled point never checks against a levelized baseline
         point — their evals/cycle differ by design, not by regression."""
         result = self._payload(epc=400.0)
         result["points"][0]["engine"] = "compiled"
         errors = check_against_baseline(result, self._payload(epc=50.0))
-        assert errors == []
+        assert len(errors) == 1 and "no baseline row" in errors[0]
         baseline = self._payload(epc=50.0)
         baseline["points"][0]["engine"] = "compiled"
         errors = check_against_baseline(result, baseline)
         assert len(errors) == 1 and "compiled" in errors[0]
+        assert "propagate_calls" in errors[0]
 
-    def test_engineless_points_default_to_incremental(self):
-        """Baselines predating the engine column still check: the old
-        bench always ran the incremental engine."""
-        result = self._payload(cycles=101)
-        result["points"][0]["engine"] = "incremental"
-        errors = check_against_baseline(result, self._payload(cycles=100))
-        assert len(errors) == 1 and "cycles" in errors[0]
+    def test_cli_check_fails_on_missing_point(self, tmp_path, monkeypatch):
+        """``--check`` exits non-zero when a fresh point has no baseline
+        row: a gate that compares nothing must not pass."""
+        import json
+
+        import repro.bench as bench
+
+        result = self._payload()
+        result["points"][0]["config"] = "unbenched"
+        result["points"][0].update(wall_s=0.1, cycles_per_sec=1000)
+        result.update(total_wall_s=0.1, serial_wall_s=0.1)
+        monkeypatch.setattr(bench, "run_bench", lambda **kw: result)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(self._payload()))
+        argv = ["--out", str(tmp_path / "fresh.json"),
+                "--check", str(baseline)]
+        assert main(argv) == 1
+        result["points"][0]["config"] = "c"
+        assert main(argv) == 0
