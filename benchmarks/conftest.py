@@ -8,6 +8,8 @@ harness and prints the regenerated rows next to the paper's numbers.
 
 import pytest
 
+from repro.kernels import QUICK_SIZES
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -30,10 +32,4 @@ def bench_kernel_sizes(full_size):
     (same qualitative shape, ~10x faster) otherwise."""
     if full_size:
         return {}  # registry defaults are the paper-scale sizes
-    return {
-        "polyn_mult": {"n": 20},
-        "2mm": {"n": 5},
-        "3mm": {"n": 5},
-        "gaussian": {"n": 8},
-        "triangular": {"n": 24},
-    }
+    return QUICK_SIZES

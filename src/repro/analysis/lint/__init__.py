@@ -7,7 +7,7 @@ deadlock detector (``PV1xx``), and PreVV configuration audits
 
 Run it from the command line::
 
-    python -m repro.lint <kernel> [--config prevv] [--depth 16]
+    python -m repro.lint <kernel>|all [--config prevv16] [--quick]
 
 or programmatically via :func:`lint_ir` / :func:`lint_circuit` /
 :func:`lint_build` / :func:`lint_kernel`.

@@ -2,20 +2,26 @@
 
 Runs the full six-layer analysis over one registered kernel (or every
 kernel with ``all``) under a chosen hardware configuration and prints
-the report.  With ``--sanitize`` it additionally simulates the kernel
-under the PVSan sequential-consistency oracle and merges the dynamic
-findings into the same report; with ``--perf`` it simulates the kernel
-once and arms the PV404 static-vs-measured divergence check of the
-PVPerf layer; with ``--occupancy`` it simulates once more under the
-peak-occupancy sampler and arms the PV504 divergence check of the
-PVBound layer.  ``--layer`` restricts the run to named layers (for
-example ``--layer occupancy``).
+the report.  Three flags arm the static-vs-measured cross-checks, each
+by simulating the kernel once more:
+
+* ``--sanitize`` runs the PVSan sequential-consistency oracle alongside
+  the simulation and merges its findings into the same report;
+* ``--perf`` measures the run and arms the PV404 divergence check of
+  the PVPerf layer;
+* ``--occupancy`` samples peak occupancies and arms the PV504
+  divergence check of the PVBound layer.
+
+``--layer`` restricts the run to named layers (for example ``--layer
+occupancy``); ``--quick`` lints the paper kernels at their reduced
+sizes (:data:`repro.kernels.QUICK_SIZES`).  CI runs the soundness grid
+as one ``all --quick --layer X --X`` invocation per config.
 
 Exit codes (stable; CI keys off them):
 
 * ``0`` — clean: no diagnostic at warning severity or above;
 * ``1`` — at least one error-severity diagnostic, or the invocation
-  itself failed (unknown kernel, bad arguments);
+  itself failed (unknown kernel or config, bad arguments);
 * ``2`` — warnings only: something deserves a look, nothing is wrong
   enough to block.
 """
@@ -27,15 +33,36 @@ import json
 import sys
 from typing import List, Optional
 
-from ...config import MEMORY_STYLES, HardwareConfig
-from ...kernels import kernel_names
+from ...config import HardwareConfig
+from ...errors import ConfigError
+from ...eval.configs import configs_from_names
+from ...kernels import QUICK_SIZES, get_kernel, kernel_names
 from .diagnostics import CODES, LintReport, Severity
 from .driver import lint_kernel
 from .registry import LAYERS, all_passes
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2.
+
+    Exit 2 means "warnings only" to every lint CLI, and CI accepts it;
+    a mistyped flag must fail the step instead.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _config(name: str) -> HardwareConfig:
+    try:
+        return configs_from_names([name])[0]
+    except (ValueError, ConfigError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro.lint",
         description="Static analyzer for PreVV dataflow kernels: IR "
         "well-formedness, circuit deadlock/token checks, PreVV "
@@ -50,16 +77,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--config",
-        dest="style",
+        type=_config,
         default="prevv",
-        choices=MEMORY_STYLES,
-        help="memory style to compile under (default: prevv)",
+        help="hardware config to compile under: a paper config "
+        "(dynamatic, fast_lsq, prevv16, prevv64), prevv<N> for a "
+        "depth-N premature queue, or a bare memory style (none, "
+        "dynamatic, fast, prevv) with default parameters "
+        "(default: prevv)",
     )
     parser.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="premature-queue depth override (default: config default)",
+        "--quick",
+        action="store_true",
+        help="lint the paper kernels at their reduced sizes "
+        "(repro.kernels.QUICK_SIZES)",
     )
     parser.add_argument(
         "--sanitize",
@@ -85,6 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--layer",
         dest="layers",
         action="append",
+        choices=LAYERS,
         metavar="NAME",
         help="run only the named lint layer (repeatable; default: all "
         f"layers — {', '.join(LAYERS)})",
@@ -99,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-cycles",
         type=int,
         default=2_000_000,
-        help="simulation budget for --sanitize (default: 2000000)",
+        help="simulation budget for --sanitize, --perf and --occupancy "
+        "(default: 2000000)",
     )
     parser.add_argument(
         "--min-severity",
@@ -245,62 +277,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ns.kernel is None:
         parser.error("a kernel name (or 'all') is required")
 
-    overrides = {"memory_style": ns.style}
-    if ns.depth is not None:
-        overrides["prevv_depth"] = ns.depth
-    config = HardwareConfig(**overrides)
+    config = ns.config
     names = kernel_names() if ns.kernel == "all" else [ns.kernel]
     min_severity = Severity.parse(ns.min_severity)
-    layers = None
-    if ns.layers:
-        for layer in ns.layers:
-            if layer not in LAYERS:
-                parser.error(
-                    f"unknown lint layer {layer!r}; choose from "
-                    f"{', '.join(LAYERS)}"
-                )
-        # keep driver order, drop duplicates
-        layers = [l for l in LAYERS if l in ns.layers]
+    # keep driver order, drop duplicates
+    layers = [l for l in LAYERS if l in ns.layers] if ns.layers else None
 
     reports = []
     for name in names:
-        measured = None
-        if ns.perf:
-            from ..perf import measure_kernel
-
-            try:
-                _, measured = measure_kernel(
-                    name, config, max_cycles=ns.max_cycles
-                )
-            except KeyError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 1
-        kwargs = {"measured": measured}
-        if ns.occupancy:
-            from ..occupancy import measure_kernel as measure_occupancy
-
-            try:
-                _, kwargs["occupancy_measured"] = measure_occupancy(
-                    name, config, max_cycles=ns.max_cycles
-                )
-            except KeyError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 1
-        if layers is not None:
-            kwargs["layers"] = layers
         try:
-            report = lint_kernel(name, config, **kwargs)
+            kernel = get_kernel(
+                name, **(QUICK_SIZES.get(name, {}) if ns.quick else {})
+            )
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 1
+        kwargs = {"measured": None}
+        if ns.perf:
+            from ..perf import measure_kernel
+
+            _, kwargs["measured"] = measure_kernel(
+                kernel, config, max_cycles=ns.max_cycles
+            )
+        if ns.occupancy:
+            from ..occupancy import measure_kernel as measure_occupancy
+
+            _, kwargs["occupancy_measured"] = measure_occupancy(
+                kernel, config, max_cycles=ns.max_cycles
+            )
+        if layers is not None:
+            kwargs["layers"] = layers
+        report = lint_kernel(kernel, config, **kwargs)
         if ns.sanitize and report.ok:
             # lint_kernel already ran the static sanitize layer; append
             # only the dynamic oracle findings to the same report.
-            from ...kernels import get_kernel
             from ..sanitizer import sanitize_run
 
             sanitize_run(
-                get_kernel(name),
+                kernel,
                 config,
                 max_cycles=ns.max_cycles,
                 report=report,

@@ -7,9 +7,10 @@ Entry points by granularity:
 * :func:`lint_build` — every layer over a finished
   :class:`~repro.compile.elastic.BuildResult`, auditing the analysis the
   circuit was actually built from;
-* :func:`lint_kernel` — compile a registered kernel under a config and
-  lint the whole stack; stops after the IR layer when the IR itself is
-  broken (nothing downstream is meaningful then).
+* :func:`lint_kernel` — compile a kernel (registered name or
+  :class:`~repro.kernels.Kernel`) under a config and lint the whole
+  stack; stops after the IR layer when the IR itself is broken (nothing
+  downstream is meaningful then).
 
 ``lint_kernel`` also runs the PVSan *sanitize* layer: the kernel
 descriptor gives the sanitize passes the concrete scalar arguments and
@@ -110,15 +111,16 @@ def lint_build(
 
 
 def lint_kernel(
-    name: str,
+    kernel,
     config: HardwareConfig,
     measured=None,
     occupancy_measured=None,
     layers: Optional[Sequence[str]] = None,
 ) -> LintReport:
-    """Compile a registered kernel under ``config`` and lint every layer.
+    """Compile a kernel under ``config`` and lint every layer.
 
-    When the IR layer reports errors the kernel is not compiled — the
+    ``kernel`` is a registered kernel name (instantiated at its default
+    size) or a :class:`~repro.kernels.Kernel`.  When the IR layer reports errors the kernel is not compiled — the
     report carries the IR diagnostics only.  Otherwise the circuit is
     built exactly as ``run_pipeline`` would build it and the circuit,
     PreVV, sanitize, perf and occupancy layers run over the result.
@@ -139,9 +141,10 @@ def lint_kernel(
             raise ValueError(
                 f"unknown lint layer {layer!r}; choose from {LAYERS}"
             )
-    kernel = get_kernel(name)
+    if isinstance(kernel, str):
+        kernel = get_kernel(kernel)
     fn = kernel.build_ir()
-    report = LintReport(subject=f"{name}[{config.memory_style}]")
+    report = LintReport(subject=f"{kernel.name}[{config.memory_style}]")
     ctx = LintContext(
         fn=fn,
         config=config,

@@ -5,8 +5,9 @@ one compiled circuit — channels, buffers, memory-controller response
 queues, arbiter reorder buffers, premature queues, LSQ partitions — and
 proves (or refutes) that every premature queue stays within its
 physical slack and that retirement cannot stall.  Surfaced as the
-``occupancy`` lint layer (PV501–PV504), the ``--occupancy`` bench
-sweep, and the fuzz harness's occupancy-bound differential oracle.
+``occupancy`` lint layer (PV501–PV504; ``python -m repro.lint
+--occupancy`` arms PV504) and the fuzz harness's occupancy-bound
+differential oracle.
 """
 
 from .domain import Interval, TripBudgets, min_bound

@@ -34,7 +34,6 @@ from ...compile import compile_function
 from ...dataflow import make_simulator
 from ...errors import QueueOverflowError
 from ...eval.runner import make_done_condition
-from ...kernels import get_kernel
 from ...lsq.lsq import LoadStoreQueue
 from ...memory.controller import MemoryController
 from ...prevv.unit import PreVVUnit
@@ -133,17 +132,16 @@ def measure_build(build, max_cycles: int = 2_000_000) -> OccupancyMeasurement:
 
 
 def measure_kernel(
-    kernel_name: str,
+    kernel,
     config,
-    sizes: Optional[Dict[str, int]] = None,
     max_cycles: int = 2_000_000,
     policy: Optional[ArbiterPolicy] = None,
 ):
     """Compile, prove and simulate one (kernel, config).
 
-    Returns ``(prediction, measurement)`` ready for :func:`compare`.
+    ``kernel`` is a :class:`~repro.kernels.Kernel`.  Returns
+    ``(prediction, measurement)`` ready for :func:`compare`.
     """
-    kernel = get_kernel(kernel_name, **(sizes or {}))
     fn = kernel.build_ir()
     build = compile_function(fn, config, args=kernel.args)
     prediction = analyze_build(build, fn, kernel.args, policy=policy)

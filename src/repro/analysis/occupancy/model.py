@@ -10,7 +10,7 @@
    liveness verdict —
 
 and packages the result as an :class:`OccupancyPrediction` the lint
-passes, the bench sweep and the fuzz oracle all share.
+passes and the fuzz oracle share.
 """
 
 from __future__ import annotations

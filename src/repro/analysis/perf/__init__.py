@@ -15,8 +15,8 @@ simulating it:
   static-vs-measured soundness comparison (PV404's engine).
 
 Every reported number is a provable *lower* bound on the initiation
-interval / cycle count; the PV4xx lint layer and the ``--perf`` bench
-sweep are the consumers.
+interval / cycle count; the PV4xx lint layer (PV404 armed by
+``python -m repro.lint --perf``) and the fuzz harness are the consumers.
 """
 
 from .mcr import CriticalCycle, RatioEdge, max_cycle_ratio

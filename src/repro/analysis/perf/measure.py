@@ -20,20 +20,19 @@ bound into a false alarm.  The pairings:
 :func:`compare` evaluates every applicable pairing and returns one
 record per check; a failed record means the *static analysis* is wrong
 (an unsound model), never the circuit — which is exactly what the PV404
-lint pass and the ``--perf`` bench sweep alarm on.
+lint pass and the fuzz harness's perf-bound invariant alarm on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ...compile import compile_function
 from ...dataflow import make_simulator
 from ...eval.runner import make_done_condition
 from ...ir.interpreter import run_golden
-from ...kernels import get_kernel
 from .predict import PerfPrediction, predict
 
 
@@ -48,6 +47,8 @@ class PerfMeasurement:
     #: per-loop body activations from the golden interpreter, keyed by
     #: header block name (architectural — replays not included)
     loop_activations: Dict[str, int] = field(default_factory=dict)
+    #: engine that actually simulated the run
+    engine: str = ""
 
 
 @dataclass(frozen=True)
@@ -77,22 +78,22 @@ class CheckRecord:
 
 
 def measure_kernel(
-    kernel_name: str,
+    kernel,
     config,
-    sizes: Optional[Dict[str, int]] = None,
     max_cycles: int = 2_000_000,
     engine: str = "auto",
 ):
     """Compile, predict, interpret and simulate one (kernel, config).
 
-    Returns ``(prediction, measurement)`` ready for :func:`compare`.
-    The checks need per-channel *transfer* counts only, which the
-    compiled engine supplies through its fused counters
+    ``kernel`` is a :class:`~repro.kernels.Kernel` (call
+    :func:`~repro.kernels.get_kernel` first to measure a registered one
+    at a chosen size).  Returns ``(prediction, measurement)`` ready for
+    :func:`compare`.  The checks need per-channel *transfer* counts
+    only, which the compiled engine supplies through its fused counters
     (``count_transfers``); interpreted engines fall back to the full
     stats-collecting path.  ``engine="auto"`` therefore measures with
     the compiled engine whenever the compiler accepts the circuit.
     """
-    kernel = get_kernel(kernel_name, **(sizes or {}))
     fn = kernel.build_ir()
     build = compile_function(fn, config, args=kernel.args)
     prediction = predict(build, fn, kernel.args)
@@ -113,6 +114,7 @@ def measure_kernel(
             ch.name: ch.transfers for ch in build.circuit.channels
         },
         loop_activations=dict(golden.loop_activations),
+        engine=sim.engine_name,
     )
     return prediction, measurement
 

@@ -1,8 +1,10 @@
 """Sanitized evaluation runs: compile, simulate under the SC oracle, report.
 
 :func:`sanitize_run` is the dynamic-side entry point behind
-``python -m repro.lint --sanitize <kernel>`` and ``python -m repro.bench
---sanitize``: build one kernel under one config, run the static sanitize
+``python -m repro.lint <kernel> --sanitize`` (CI runs it over every
+kernel as ``all --quick --layer sanitize --sanitize``, one config at a
+time) and the fuzz harness's oracle check: build one kernel under one
+config, run the static sanitize
 lint layer (prover + soundness + coverage), then simulate with the
 :class:`~repro.analysis.sanitizer.oracle.SCOracle` attached to every
 PreVV unit and the squash controller, and finalize the oracle against

@@ -7,6 +7,7 @@ from .configs import (
     FAST_LSQ,
     PREVV16,
     PREVV64,
+    configs_from_names,
     prevv_with_depth,
 )
 from .runner import RunResult, make_done_condition, run_grid, run_kernel
@@ -37,6 +38,7 @@ __all__ = [
     "FAST_LSQ",
     "PREVV16",
     "PREVV64",
+    "configs_from_names",
     "prevv_with_depth",
     "RunResult",
     "make_done_condition",

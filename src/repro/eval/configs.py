@@ -9,9 +9,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from ..config import HardwareConfig
+from ..config import MEMORY_STYLES, HardwareConfig
 
 DYNAMATIC = HardwareConfig(name="dynamatic", memory_style="dynamatic")
 FAST_LSQ = HardwareConfig(name="fast_lsq", memory_style="fast")
@@ -29,3 +29,27 @@ def prevv_with_depth(depth: int) -> HardwareConfig:
     return HardwareConfig(
         name=f"prevv{depth}", memory_style="prevv", prevv_depth=depth
     )
+
+
+def configs_from_names(names: Sequence[str]) -> List[HardwareConfig]:
+    """Resolve config names, trying for each in turn:
+
+    1. a paper configuration from :data:`BY_NAME` (``prevv16``, ...);
+    2. ``prevv<N>`` — PreVV with a depth-N premature queue;
+    3. a bare memory style (``prevv``, ``fast``, ...) with every other
+       parameter at its :class:`~repro.config.HardwareConfig` default.
+    """
+    configs = []
+    for name in names:
+        if name in BY_NAME:
+            configs.append(BY_NAME[name])
+        elif name.startswith("prevv") and name[5:].isdigit():
+            configs.append(prevv_with_depth(int(name[5:])))
+        elif name in MEMORY_STYLES:
+            configs.append(HardwareConfig(memory_style=name))
+        else:
+            known = ", ".join(sorted(set(BY_NAME) | set(MEMORY_STYLES)))
+            raise ValueError(
+                f"unknown config {name!r}; known: {known}, prevv<N>"
+            )
+    return configs

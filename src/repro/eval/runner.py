@@ -227,16 +227,12 @@ def run_batch(
     results: List[RunResult] = []
     seen: Dict[tuple, RunResult] = {}
     for kernel in kernels:
-        try:
-            key = _content_key(kernel)
-            src = seen.get(key)
-        except TypeError:  # unhashable arg value: treat lane as unique
-            key, src = None, None
+        key = _content_key(kernel)
+        src = seen.get(key)
         if src is None:
             result = run_kernel(kernel, config, max_cycles=max_cycles,
                                 engine=engine)
-            if key is not None:
-                seen[key] = result
+            seen[key] = result
         else:
             result = replace(
                 src,

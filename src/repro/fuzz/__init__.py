@@ -21,6 +21,7 @@ oracle and the PVSan/PVPerf static provers) into a bug-finding loop:
 * ``python -m repro.fuzz`` — the CLI entry point with JSONL reporting.
 """
 
+from ..eval.configs import configs_from_names
 from .spec import (
     Affine,
     ArraySpec,
@@ -42,7 +43,6 @@ from .harness import (
     KernelReport,
     check_kernel,
     check_spec,
-    configs_from_names,
     sabotage_kill_index_check,
 )
 from .shrink import shrink_spec

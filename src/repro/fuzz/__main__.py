@@ -23,13 +23,14 @@ import sys
 import time
 from typing import Optional
 
+from ..errors import ConfigError
+from ..eval.configs import configs_from_names
 from .corpus import save_spec
 from .generator import generate_spec
 from .harness import (
     DEFAULT_CONFIG_NAMES,
     DEFAULT_ENGINES,
     check_spec,
-    configs_from_names,
     sabotage_kill_index_check,
 )
 from .shrink import shrink_spec
@@ -82,7 +83,7 @@ def main(argv: Optional[list] = None) -> int:
         configs = configs_from_names(
             [c for c in args.configs.split(",") if c]
         )
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     engines = tuple(e for e in args.engines.split(",") if e)

@@ -7,7 +7,7 @@ config it establishes a baseline with the seed worklist oracle
 * **golden-memory** — the baseline's final memory equals the
   interpreter's (the architectural contract every config must meet);
 * **engine-identity** — every other engine (levelized and compiled,
-  both via :func:`~repro.dataflow.make_simulator`) reproduces the
+  both via :func:`~repro.eval.runner.run_kernel`) reproduces the
   baseline bit-identically: cycles, transfers, squashes, squashed
   iterations and final memory;
 * **oracle** — on PreVV configs, a :func:`~repro.analysis.sanitizer.
@@ -36,16 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..analysis.perf.measure import PerfMeasurement, compare
-from ..analysis.perf.predict import predict
+from ..analysis.perf.measure import compare, measure_kernel
 from ..analysis.sanitizer.prover import PairClass
 from ..analysis.sanitizer.runner import sanitize_run
-from ..compile import compile_function
 from ..config import HardwareConfig
-from ..dataflow import make_simulator
-from ..eval.configs import BY_NAME, prevv_with_depth
-from ..eval.runner import make_done_condition, run_kernel
-from ..ir import run_golden
+from ..eval.configs import configs_from_names, prevv_with_depth
+from ..eval.runner import run_kernel
 from .spec import KernelSpec, spec_to_kernel
 
 #: engines checked against the reference baseline
@@ -58,20 +54,6 @@ DEFAULT_CONFIG_NAMES = ("dynamatic", "fast_lsq", "prevv4", "prevv16")
 _IDENTITY_FIELDS = (
     "cycles", "transfers", "squashes", "squashed_iterations",
 )
-
-
-def configs_from_names(names: Sequence[str]) -> List[HardwareConfig]:
-    """Resolve config names; ``prevv<N>`` makes a depth-N PreVV config."""
-    configs = []
-    for name in names:
-        if name in BY_NAME:
-            configs.append(BY_NAME[name])
-        elif name.startswith("prevv") and name[5:].isdigit():
-            configs.append(prevv_with_depth(int(name[5:])))
-        else:
-            known = ", ".join(sorted(BY_NAME)) + ", prevv<N>"
-            raise ValueError(f"unknown config {name!r}; known: {known}")
-    return configs
 
 
 @dataclass
@@ -146,29 +128,14 @@ def _mismatches(baseline, result) -> List[str]:
 
 def _check_perf_bounds(report, kernel, config, max_cycles):
     """PVPerf lower bounds vs a transfer-counting measured run."""
-    fn = kernel.build_ir()
-    build = compile_function(fn, config, args=kernel.args)
-    prediction = predict(build, fn, kernel.args)
-    golden = run_golden(fn, args=kernel.args, memory=kernel.memory_init)
-    build.memory.initialize(kernel.memory_init)
-    sim = make_simulator(build.circuit, engine="auto",
-                         max_cycles=max_cycles, count_transfers=True)
-    if build.squash_controller is not None:
-        sim.end_of_cycle_hooks.append(build.squash_controller.end_of_cycle)
-    stats = sim.run(make_done_condition(build))
-    measurement = PerfMeasurement(
-        subject=build.circuit.name,
-        cycles=stats.cycles,
-        channel_transfers={
-            ch.name: ch.transfers for ch in build.circuit.channels
-        },
-        loop_activations=dict(golden.loop_activations),
+    prediction, measurement = measure_kernel(
+        kernel, config, max_cycles=max_cycles
     )
     for record in compare(prediction, measurement):
         report.checks += 1
         if not record.ok:
             report.add(
-                config.name, sim.engine_name, "perf-bound",
+                config.name, measurement.engine, "perf-bound",
                 f"{record.kind}[{record.subject}]: static {record.static}"
                 f" > measured {record.measured}",
             )
@@ -183,15 +150,12 @@ def _check_occupancy_bounds(report, kernel, config, max_cycles):
     hole, while a predicted-but-unobserved overflow is merely
     conservative and stays silent here (PV502 reports it statically).
     """
-    from ..analysis.occupancy import analyze_build, measure_build
     from ..analysis.occupancy import compare as compare_occupancy
+    from ..analysis.occupancy import measure_kernel as measure_occupancy
 
-    fn = kernel.build_ir()
-    build = compile_function(fn, config, args=kernel.args)
-    prediction = analyze_build(build, fn, kernel.args)
-    build.memory.initialize(kernel.memory_init)
-    measurement = measure_build(build, max_cycles=max_cycles)
-    for record in compare_occupancy(prediction, measurement):
+    for record in compare_occupancy(
+        *measure_occupancy(kernel, config, max_cycles=max_cycles)
+    ):
         report.checks += 1
         if not record.ok:
             report.add(

@@ -15,6 +15,9 @@ Exit codes follow ``python -m repro.lint``:
   layer went unsound on a committed reproducer;
 * ``2`` — warnings only.
 
+Bad arguments exit ``1`` too, so a mistyped CI step cannot pass as
+"warnings only".
+
 With ``--out`` the diagnostics are also written as JSON Lines (one
 run-metadata object, then one object per diagnostic), the CI artifact
 format shared with the lint CLI.
@@ -22,17 +25,17 @@ format shared with the lint CLI.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import List, Optional
 
+from ..analysis.lint.cli import ArgumentParser
 from ..analysis.lint.diagnostics import LintReport
 from ..analysis.lint.driver import run_passes
 from ..analysis.lint.registry import LAYERS, LintContext
 from ..compile import compile_function
+from ..eval.configs import configs_from_names
 from .corpus import CorpusEntry, corpus_entries
-from .harness import configs_from_names
 from .spec import spec_to_kernel
 
 
@@ -46,12 +49,10 @@ def lint_entry(entry: CorpusEntry, max_cycles: int = 400_000) -> LintReport:
 
     occupancy_measured = None
     if entry.status == "guard":
-        from ..analysis.occupancy import measure_build
+        from ..analysis.occupancy import measure_kernel
 
-        measured_build = compile_function(fn, config, args=kernel.args)
-        measured_build.memory.initialize(kernel.memory_init)
-        occupancy_measured = measure_build(
-            measured_build, max_cycles=max_cycles
+        _, occupancy_measured = measure_kernel(
+            kernel, config, max_cycles=max_cycles
         )
 
     ctx = LintContext(
@@ -90,7 +91,7 @@ def _emit_jsonl(reports: List[LintReport], stream) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro.fuzz.lint_corpus",
         description="Replay every committed fuzz-corpus spec through the "
         "full lint stack (including the PVBound occupancy layer, with "

@@ -11,6 +11,17 @@ from . import misc        # noqa: F401
 #: kernels evaluated in the paper's Tables I/II
 PAPER_KERNELS = ["polyn_mult", "2mm", "3mm", "gaussian", "triangular"]
 
+#: reduced sizes of the paper kernels (same qualitative shape, ~10x
+#: faster): ``--quick`` in ``repro.bench`` and ``repro.lint``, and the
+#: default size of the ``benchmarks/`` harness
+QUICK_SIZES = {
+    "polyn_mult": {"n": 20},
+    "2mm": {"n": 5},
+    "3mm": {"n": 5},
+    "gaussian": {"n": 8},
+    "triangular": {"n": 24},
+}
+
 __all__ = [
     "Kernel",
     "get_kernel",
@@ -19,4 +30,5 @@ __all__ = [
     "register_kernel",
     "NestBuilder",
     "PAPER_KERNELS",
+    "QUICK_SIZES",
 ]

@@ -250,6 +250,59 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["subject"] == "vadd[prevv]"
 
+    def test_config_prevv_n_is_the_depth_n_style(self, capsys):
+        # ``--config prevv1`` replaced ``--config prevv --depth 1``,
+        # which built HardwareConfig(memory_style="prevv", prevv_depth=1).
+        from repro.analysis.lint import cli as cli_mod
+
+        assert lint_main(["fig2b", "--config", "prevv1",
+                          "--format", "json"]) == 2
+        got = capsys.readouterr().out
+        report = cli_mod.lint_kernel(
+            "fig2b", HardwareConfig(memory_style="prevv", prevv_depth=1)
+        )
+        cli_mod._emit_jsonl([report], Severity.INFO, armed_layers=LAYERS)
+        assert got == capsys.readouterr().out
+        codes = [json.loads(line).get("code") for line in got.splitlines()]
+        assert codes == [
+            None, "PV011", "PV011", "PV201", "PV302", "PV303", "PV403",
+        ]
+
+    def test_quick_lints_and_sanitizes_the_quick_sized_kernel(
+        self, capsys, monkeypatch
+    ):
+        from repro.analysis import sanitizer
+        from repro.analysis.lint import cli as cli_mod
+        from repro.kernels import QUICK_SIZES
+
+        seen = []
+        monkeypatch.setattr(
+            cli_mod, "lint_kernel",
+            lambda kernel, config, measured=None: seen.append(kernel)
+            or LintReport(subject="q"),
+        )
+        monkeypatch.setattr(
+            sanitizer, "sanitize_run",
+            lambda kernel, config, **kw: seen.append(kernel),
+        )
+        assert lint_main(["gaussian", "--quick", "--sanitize"]) == 0
+        linted, sanitized = seen
+        assert linted is sanitized
+        assert linted.args["n"] == QUICK_SIZES["gaussian"]["n"]
+        assert get_kernel("gaussian").args["n"] != linted.args["n"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2b", "--config", "warp9"],
+        ["fig2b", "--bogus"],
+        ["fig2b", "--layer", "nope"],
+    ], ids=["unknown-config", "unknown-flag", "unknown-layer"])
+    def test_usage_errors_exit_one(self, capsys, argv):
+        # Exit 2 means warnings-only, which CI accepts: a typo must not.
+        with pytest.raises(SystemExit) as exc:
+            lint_main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestPipelineIntegration:
     def test_pipeline_attaches_clean_lint_report(self):

@@ -33,6 +33,7 @@ from repro.compile import compile_function
 from repro.eval.configs import BY_NAME, prevv_with_depth
 from repro.fuzz.corpus import default_corpus_dir, load_spec
 from repro.fuzz.spec import spec_to_kernel
+from repro.kernels import get_kernel
 from repro.prevv.unit import PreVVUnit
 
 CORPUS_KERNEL = os.path.join(
@@ -263,7 +264,7 @@ class TestLayer:
 
     def test_measured_kernel_point_is_sound(self):
         prediction, measurement = measure_kernel(
-            "fig2b", BY_NAME["prevv16"], max_cycles=100_000
+            get_kernel("fig2b"), BY_NAME["prevv16"], max_cycles=100_000
         )
         assert prediction.all_bounded
         assert not measurement.overflowed
@@ -325,7 +326,6 @@ class TestCli:
 class TestFuzzOracle:
     def test_oracle_counts_checks_and_stays_clean(self):
         from repro.fuzz.harness import KernelReport, _check_occupancy_bounds
-        from repro.kernels import get_kernel
 
         report = KernelReport(kernel="fig2b")
         _check_occupancy_bounds(

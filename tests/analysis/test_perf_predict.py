@@ -4,7 +4,8 @@ The pins freeze the exact critical cycle of three representative seed
 kernels so any change to a ``perf_model`` or to the circuit builder that
 moves the binding constraint is caught.  The soundness grid is the PV404
 contract in miniature: every static lower bound must stay at or below
-its measured counterpart (the full grid runs in ``repro.bench --perf``).
+its measured counterpart (CI runs the full grid through ``repro.lint
+all --quick --layer perf --perf``).
 """
 
 from fractions import Fraction
@@ -66,7 +67,7 @@ def test_seed_kernels_ii_bound_is_one(config):
 @pytest.mark.parametrize("kernel_name", sorted(SIZES))
 def test_static_bounds_never_exceed_measured(kernel_name, config):
     prediction, measurement = measure_kernel(
-        kernel_name, config, sizes=SIZES[kernel_name]
+        get_kernel(kernel_name, **SIZES[kernel_name]), config
     )
     records = compare(prediction, measurement)
     assert records, "compare() must produce at least the floor check"
@@ -81,7 +82,7 @@ def test_static_bounds_never_exceed_measured(kernel_name, config):
 def test_pv404_clean_on_seed_kernel():
     """Armed divergence check stays silent when the model is sound."""
     config = BY_NAME["prevv16"]
-    _, measured = measure_kernel("fig2b", config)
+    _, measured = measure_kernel(get_kernel("fig2b"), config)
     report = lint_kernel("fig2b", config, measured=measured)
     assert not [d for d in report.diagnostics if d.code == "PV404"]
     assert not report.errors
@@ -119,7 +120,7 @@ def test_cycles_lower_bound_combines_floor_and_validation():
     iters = max(golden.loop_activations.values())
     assert bound >= Fraction(iters)
     # The bound is itself sound against the simulated run.
-    _, measurement = measure_kernel("fig2b", config)
+    _, measurement = measure_kernel(kernel, config)
     assert bound <= measurement.cycles
 
 

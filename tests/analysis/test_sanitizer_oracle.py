@@ -2,10 +2,14 @@
 
 from repro.analysis.sanitizer import SCOracle, sanitize_run
 from repro.analysis.sanitizer.oracle import _Pending
-from repro.bench import run_sanitize_sweep
 from repro.config import HardwareConfig
-from repro.eval.configs import DYNAMATIC, PREVV16, prevv_with_depth
-from repro.kernels import get_kernel
+from repro.eval.configs import (
+    DYNAMATIC,
+    PREVV16,
+    configs_from_names,
+    prevv_with_depth,
+)
+from repro.kernels import QUICK_SIZES, get_kernel, kernel_names
 
 PREVV = HardwareConfig(memory_style="prevv", prevv_depth=16)
 
@@ -13,19 +17,30 @@ PREVV = HardwareConfig(memory_style="prevv", prevv_depth=16)
 class TestAcceptanceGrid:
     def test_every_kernel_every_config_is_oracle_clean(self):
         # All registered kernels x {dynamatic, prevv16, prevv64, depth-1
-        # high-squash}: zero oracle mismatches, final memory identical to
-        # the interpreter at every point.
-        result = run_sanitize_sweep(quick=True, jobs=1)
-        bad = [p for p in result["points"] if not (p["ok"] and p["verified"])]
+        # high-squash}, paper kernels at their quick sizes: zero oracle
+        # mismatches, final memory identical to the interpreter at every
+        # point.
+        configs = configs_from_names(
+            ["dynamatic", "prevv16", "prevv64", "prevv1"]
+        )
+        points = [
+            sanitize_run(get_kernel(name, **QUICK_SIZES.get(name, {})), cfg)
+            for name in kernel_names()
+            for cfg in configs
+        ]
+        bad = [
+            (p.kernel, p.config.name, [d.format() for d in p.report.errors])
+            for p in points if not (p.ok and p.verified)
+        ]
         assert not bad, bad
-        assert len(result["points"]) == len(result["configs"]) * 10
+        assert len(points) == len(configs) * 10
         # The PreVV points really exercised the arbiter...
         assert any(
-            p["checks"] > 0 for p in result["points"]
-            if p["config"].startswith("prevv")
+            p.checks > 0 for p in points
+            if p.config.name.startswith("prevv")
         )
         # ...and every point ran to quiescence.
-        assert all(p["completed"] for p in result["points"])
+        assert all(p.completed for p in points)
 
     def test_depth_one_high_squash_point_is_clean(self):
         # gaussian with a depth-1 premature queue squashes on every

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.config import HardwareConfig
 from repro.eval import (
     ALL_CONFIGS,
     DYNAMATIC,
     FAST_LSQ,
     PREVV16,
     PREVV64,
+    configs_from_names,
     fig1_lsq_share,
     fig7_normalized,
     format_fig1,
@@ -74,6 +76,15 @@ class TestConfigs:
     def test_prevv_with_depth(self):
         cfg = prevv_with_depth(32)
         assert cfg.prevv_depth == 32 and cfg.memory_style == "prevv"
+
+    def test_configs_from_names_resolution_order(self):
+        paper, deep, style = configs_from_names(
+            ["dynamatic", "prevv8", "fast"]
+        )
+        assert paper is DYNAMATIC
+        assert deep == prevv_with_depth(8)
+        # a bare memory style gets every other parameter at its default
+        assert style == HardwareConfig(memory_style="fast")
 
 
 class TestRunner:

@@ -74,3 +74,11 @@ def test_open_entry_still_reproduces(entry):
         f" {sorted(want)}, observed {sorted(got)} — re-shrink and"
         " update the entry"
     )
+
+
+def test_lint_corpus_usage_error_exits_one(capsys):
+    from repro.fuzz.lint_corpus import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus"])
+    assert exc.value.code == 1

@@ -14,6 +14,7 @@ import pytest
 
 from repro.compile import compile_function
 from repro.dataflow.codegen import structural_key
+from repro.eval.configs import configs_from_names
 from repro.fuzz import (
     generate_spec,
     instruction_count,
@@ -21,7 +22,6 @@ from repro.fuzz import (
     spec_to_kernel,
     validate_spec,
 )
-from repro.fuzz.harness import configs_from_names
 
 #: a small but varied sample of the (seed, index) space
 POINTS = [(0, 0), (0, 1), (9, 0), (9, 7), (3, 15), (1234, 2)]

@@ -12,6 +12,7 @@ Two properties anchor the whole fuzzing layer:
 
 import pytest
 
+from repro.eval.configs import configs_from_names
 from repro.fuzz import (
     check_spec,
     generate_spec,
@@ -19,7 +20,6 @@ from repro.fuzz import (
     sabotage_kill_index_check,
     shrink_spec,
 )
-from repro.fuzz.harness import configs_from_names
 
 PREVV4 = configs_from_names(["prevv4"])
 
