@@ -7,15 +7,29 @@ traversals per clock, so any computation that must send one token per
 iteration around it has ``II >= L / C``.  Finding the binding constraint
 is therefore a maximum-cycle-ratio problem over the token-flow graph.
 
-The solver is Lawler-style iterative improvement with exact rational
-arithmetic: starting from a ratio every cycle beats, repeatedly find a
-cycle whose weight ``sum(L - lambda * C)`` is positive under the current
-candidate ``lambda`` (Bellman-Ford longest-path relaxation with
-positive-cycle extraction), tighten ``lambda`` to that cycle's exact
-ratio, and stop when no cycle beats it.  Each round strictly increases
-``lambda`` within the finite set of simple-cycle ratios, so termination
-is guaranteed, and the final cycle — the *critical cycle* — is returned
-alongside the ratio.
+The solver is Lawler-style iterative improvement with exact arithmetic:
+starting from a ratio every cycle beats, repeatedly find a cycle whose
+weight ``sum(L - lambda * C)`` is positive under the current candidate
+``lambda`` (Bellman-Ford longest-path relaxation with positive-cycle
+extraction), tighten ``lambda`` to that cycle's exact ratio, and stop
+when no cycle beats it.  Each round strictly increases ``lambda`` within
+the finite set of simple-cycle ratios, so termination is guaranteed, and
+the final cycle — the *critical cycle* — is returned alongside the ratio.
+
+Bellman-Ford runs on integers: for ``lambda = p/q`` each edge weighs
+``L * q - p * C``, which is ``q > 0`` times its rational weight, so
+every comparison — and with it the whole relaxation trace — is the one
+rational weights would give.  ``Fraction`` appears only in ``lambda``
+and the returned ratio.
+
+Ties between equally critical cycles resolve deterministically:
+``lambda`` only ever rises strictly, so the result is the first cycle
+found at the maximum ratio — the lowest-index self-loop of that ratio
+if there is one, otherwise the cycle the edge-index-order trace
+extracts, rotated to start at its smallest edge index.  Howard's policy
+iteration or early cycle detection would find the same ratio but may
+pick a different cycle on ties, and the cycle's first channel is the
+location PV401 reports.
 
 Edges with ``capacity=None`` (components whose storage the model cannot
 bound) are excluded: a cycle through unbounded storage imposes no
@@ -126,50 +140,51 @@ def _positive_cycle(
     """A cycle with ``sum(latency - lam * capacity) > 0``, or ``None``.
 
     Bellman-Ford longest-path relaxation from a virtual source connected
-    to every node with weight 0.  If any edge still relaxes after
-    ``n_nodes`` full rounds, a positive cycle exists and is extracted by
-    walking the predecessor chain.
+    to every node with weight 0, over the edges in ``edge_indices`` order
+    with a strict ``>`` test.  For ``lam = p/q`` every edge weighs the
+    integer ``latency * q - p * capacity``: scaling all weights by
+    ``q > 0`` preserves every comparison, so ``dist``, ``pred`` and the
+    witness evolve exactly as they would over rational weights.  If any
+    edge still relaxes in round ``n_nodes + 1``, a positive cycle exists
+    and is extracted by walking the predecessor chain.
     """
-    dist: Dict[int, Fraction] = {}
-    pred: Dict[int, int] = {}  # node -> edge index that last improved it
-    zero = Fraction(0)
-    weights = {
-        idx: Fraction(edges[idx].latency) - lam * edges[idx].capacity
+    p, q = lam.numerator, lam.denominator
+    rows = [
+        (idx, edges[idx].src, edges[idx].dst,
+         edges[idx].latency * q - p * edges[idx].capacity)
         for idx in edge_indices
-    }
-    for node in range(n_nodes):
-        dist[node] = zero
+    ]
+    dist = [0] * n_nodes
+    pred = [-1] * n_nodes  # node -> edge index that last improved it
 
-    witness: Optional[int] = None
-    for round_no in range(n_nodes + 1):
-        changed = False
-        for idx in edge_indices:
-            edge = edges[idx]
-            cand = dist[edge.src] + weights[idx]
-            if cand > dist[edge.dst]:
-                dist[edge.dst] = cand
-                pred[edge.dst] = idx
-                changed = True
-                witness = edge.dst
-        if not changed:
+    for _ in range(n_nodes + 1):
+        witness = -1
+        for idx, src, dst, weight in rows:
+            cand = dist[src] + weight
+            if cand > dist[dst]:
+                dist[dst] = cand
+                pred[dst] = idx
+                witness = dst
+        if witness < 0:
             return None
-    # A node updated in the final round lies on, or is reachable from, a
-    # positive cycle: walking predecessors n steps lands inside it.  A
-    # broken predecessor chain (possible when relaxation has not yet
-    # propagated around the cycle) aborts the extraction — the caller
-    # then keeps its current bound, which stays a sound lower bound.
+    # ``witness`` was relaxed in the final round, so its value exceeds
+    # every simple path's weight; an acyclic predecessor chain would
+    # bound it by one, so the chain from it enters a positive cycle and
+    # walking predecessors n steps lands inside it.  The ``-1`` guards
+    # below are therefore unreachable; they keep a broken chain from
+    # indexing ``edges[-1]``.
     node = witness
     for _ in range(n_nodes):
-        eidx = pred.get(node)
-        if eidx is None:
+        eidx = pred[node]
+        if eidx < 0:
             return None
         node = edges[eidx].src
     cycle: List[int] = []
     seen: Set[int] = set()
     while node not in seen:
         seen.add(node)
-        eidx = pred.get(node)
-        if eidx is None:
+        eidx = pred[node]
+        if eidx < 0:
             return None
         cycle.append(eidx)
         node = edges[eidx].src

@@ -59,6 +59,21 @@ class Function:
     def predecessors(self, block: BasicBlock) -> List[BasicBlock]:
         return [b for b in self.blocks if block in b.successors]
 
+    def predecessor_map(self) -> Dict[BasicBlock, List[BasicBlock]]:
+        """``predecessors(b)`` for every block at once, in one CFG pass.
+
+        Each list is in block order without duplicates, exactly as
+        :meth:`predecessors` returns it; a block with no predecessor has
+        no entry.
+        """
+        preds: Dict[BasicBlock, List[BasicBlock]] = {}
+        for block in self.blocks:
+            for succ in block.successors:
+                into = preds.setdefault(succ, [])
+                if not into or into[-1] is not block:
+                    into.append(block)
+        return preds
+
     def all_instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
             yield from block.all_instructions()

@@ -21,13 +21,14 @@ def dominators(fn: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
     entry = fn.entry
     dom: Dict[BasicBlock, Set[BasicBlock]] = {b: set(blocks) for b in blocks}
     dom[entry] = {entry}
+    preds_of = fn.predecessor_map()
     changed = True
     while changed:
         changed = False
         for block in blocks:
             if block is entry:
                 continue
-            preds = [p for p in fn.predecessors(block) if p in dom]
+            preds = [p for p in preds_of.get(block, ()) if p in dom]
             if not preds:
                 continue
             new = set.intersection(*[dom[p] for p in preds]) | {block}
@@ -73,14 +74,18 @@ class Loop:
         return f"Loop(header={self.header.name}, blocks={names})"
 
 
-def _natural_loop(fn: Function, tail: BasicBlock, header: BasicBlock) -> Set[BasicBlock]:
+def _natural_loop(
+    preds_of: Dict[BasicBlock, List[BasicBlock]],
+    tail: BasicBlock,
+    header: BasicBlock,
+) -> Set[BasicBlock]:
     body = {header, tail}
     stack = [tail]
     while stack:
         block = stack.pop()
         if block is header:
             continue
-        for pred in fn.predecessors(block):
+        for pred in preds_of.get(block, ()):
             if pred not in body:
                 body.add(pred)
                 stack.append(pred)
@@ -93,8 +98,9 @@ def find_loops(fn: Function) -> List[Loop]:
     Loops sharing a header are merged (single Loop per header).
     """
     by_header: Dict[BasicBlock, Loop] = {}
+    preds_of = fn.predecessor_map()
     for tail, header in back_edges(fn):
-        body = _natural_loop(fn, tail, header)
+        body = _natural_loop(preds_of, tail, header)
         loop = by_header.get(header)
         if loop is None:
             by_header[header] = Loop(header, body)
