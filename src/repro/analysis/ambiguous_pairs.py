@@ -114,10 +114,16 @@ def classify_with_loops(
     return kind
 
 
-def analyze_function(fn: Function) -> MemoryAnalysis:
-    """Run the dependence analysis and collect every ambiguous pair."""
-    analyzer = AffineAnalyzer(fn)
-    loops = find_loops(fn)
+def analyze_function(
+    fn: Function, loops: Optional[List[Loop]] = None
+) -> MemoryAnalysis:
+    """Run the dependence analysis and collect every ambiguous pair.
+
+    ``loops`` is ``find_loops(fn)`` when the caller already has it.
+    """
+    if loops is None:
+        loops = find_loops(fn)
+    analyzer = AffineAnalyzer(fn, loops)
     analysis = MemoryAnalysis(fn)
     by_array: Dict[str, Dict[str, list]] = {}
     for block in fn.blocks:

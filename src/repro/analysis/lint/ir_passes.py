@@ -93,14 +93,14 @@ class PhiCoherencePass(LintPass):
 
     def run(self, ctx: LintContext) -> None:
         fn = ctx.fn
+        preds_of = fn.predecessor_map()
         for block in fn.blocks:
-            pred_ids = {id(p) for p in fn.predecessors(block)}
+            preds = preds_of.get(block, [])
+            pred_ids = {id(p) for p in preds}
             for phi in block.phis:
                 incoming_ids = {id(b) for b, _ in phi.incomings}
                 if incoming_ids != pred_ids:
-                    pred_names = sorted(
-                        p.name for p in fn.predecessors(block)
-                    )
+                    pred_names = sorted(p.name for p in preds)
                     inc_names = sorted(b.name for b, _ in phi.incomings)
                     ctx.emit(
                         "PV005",
@@ -269,7 +269,7 @@ class MemoryHygienePass(LintPass):
         from ..polyhedral import AffineAnalyzer
 
         fn = ctx.fn
-        analyzer = AffineAnalyzer(fn)
+        analyzer = AffineAnalyzer(fn, ctx.loops)
         for block in fn.blocks:
             if innermost_loop_of(ctx.loops, block) is None:
                 continue

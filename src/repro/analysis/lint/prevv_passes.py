@@ -38,7 +38,7 @@ def _reference_pairs(ctx: LintContext) -> Set[PairKey]:
     from ..ambiguous_pairs import classify_with_loops
 
     fn = ctx.fn
-    analyzer = AffineAnalyzer(fn)
+    analyzer = AffineAnalyzer(fn, ctx.loops)
     reference: Set[PairKey] = set()
     by_array = {}
     for block in fn.blocks:

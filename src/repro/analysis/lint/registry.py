@@ -77,7 +77,9 @@ class LintContext:
     @property
     def loops(self) -> List[Loop]:
         if self._loops is None:
-            self._loops = find_loops(self.fn) if self.fn is not None else []
+            self._loops = (
+                find_loops(self.fn, self.doms) if self.fn is not None else []
+            )
         return self._loops
 
     @property
@@ -91,7 +93,7 @@ class LintContext:
         if self._analysis is None and self.fn is not None:
             from ..ambiguous_pairs import analyze_function
 
-            self._analysis = analyze_function(self.fn)
+            self._analysis = analyze_function(self.fn, self.loops)
         return self._analysis
 
     @property

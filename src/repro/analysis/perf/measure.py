@@ -47,7 +47,8 @@ class PerfMeasurement:
     #: per-loop body activations from the golden interpreter, keyed by
     #: header block name (architectural — replays not included)
     loop_activations: Dict[str, int] = field(default_factory=dict)
-    #: engine that actually simulated the run
+    #: engine that finished the run (read after it, as for
+    #: :attr:`repro.eval.runner.RunResult.engine`)
     engine: str = ""
 
 
@@ -91,8 +92,9 @@ def measure_kernel(
     :func:`compare`.  The checks need per-channel *transfer* counts
     only, which the compiled engine supplies through its fused counters
     (``count_transfers``); interpreted engines fall back to the full
-    stats-collecting path.  ``engine="auto"`` therefore measures with
-    the compiled engine whenever the compiler accepts the circuit.
+    stats-collecting path.  Under the tiered ``engine="auto"`` a run
+    may count its first cycles interpreted and the rest compiled; the
+    per-channel totals are the same either way.
     """
     fn = kernel.build_ir()
     build = compile_function(fn, config, args=kernel.args)

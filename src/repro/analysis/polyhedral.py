@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..ir.function import Function
 from ..ir.instructions import BinaryInst, LoadInst, PhiInst, SelectInst
-from ..ir.loops import find_loops
+from ..ir.loops import Loop, find_loops
 from ..ir.values import Argument, ConstInt, Value
 
 
@@ -81,9 +81,9 @@ class Dependence(Enum):
     MAY_CONFLICT = "may_conflict"
 
 
-def _induction_phis(fn: Function) -> Set[PhiInst]:
+def _induction_phis(fn: Function, loops: List[Loop]) -> Set[PhiInst]:
     """Phis sitting in loop headers: the iteration-space variables."""
-    headers = {loop.header for loop in find_loops(fn)}
+    headers = {loop.header for loop in loops}
     ivs: Set[PhiInst] = set()
     for block in fn.blocks:
         if block in headers:
@@ -94,9 +94,12 @@ def _induction_phis(fn: Function) -> Set[PhiInst]:
 class AffineAnalyzer:
     """Derives affine forms for index expressions of one function."""
 
-    def __init__(self, fn: Function):
+    def __init__(self, fn: Function, loops: Optional[List[Loop]] = None):
+        """``loops`` is ``find_loops(fn)`` when the caller already has it."""
         self.fn = fn
-        self.ivs = _induction_phis(fn)
+        self.ivs = _induction_phis(
+            fn, find_loops(fn) if loops is None else loops
+        )
         self._cache: Dict[int, Optional[AffineExpr]] = {}
 
     def analyze(self, value: Value) -> Optional[AffineExpr]:

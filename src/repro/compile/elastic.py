@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis import MemoryAnalysis, PreVVGroup, analyze_function, reduce_pairs
+from ..analysis import MemoryAnalysis, PreVVGroup, reduce_pairs
 from ..config import HardwareConfig
 from ..dataflow import (
     Branch,
@@ -65,8 +65,6 @@ from ..ir import (
     StoreInst,
     Value,
     back_edges,
-    dominators,
-    find_loops,
     innermost_loop_of,
     verify_function,
 )
@@ -122,7 +120,8 @@ def compile_function(
 
 class _Builder:
     def __init__(self, fn: Function, config: HardwareConfig, args: Dict[str, int]):
-        verify_function(fn)
+        # The IR lint passes already computed the loop analysis: reuse it.
+        ir = verify_function(fn)
         self.fn = fn
         self.config = config
         self.args = args
@@ -134,12 +133,12 @@ class _Builder:
                 )
         self.circuit = Circuit(f"{fn.name}_{config.name}")
         self.memory = Memory({n: d.size for n, d in fn.arrays.items()})
-        self.loops = find_loops(fn)
-        self.backedges = set(
-            (id(a), id(b)) for a, b in back_edges(fn)
-        )
-        self.doms = dominators(fn)
-        self.analysis = analyze_function(fn)
+        self.doms = ir.doms
+        self.loops = ir.loops
+        self._back_edges = back_edges(fn, self.doms)
+        self.backedges = set((id(a), id(b)) for a, b in self._back_edges)
+        self._preds = fn.predecessor_map()
+        self.analysis = ir.analysis
         self.groups = reduce_pairs(self.analysis)
         if config.memory_style == "none" and self.analysis.pairs:
             raise CompileError(
@@ -432,7 +431,7 @@ class _Builder:
         self._muxes: Dict[Tuple[int, int], Mux] = {}
         self._cmerges: Dict[int, ControlMerge] = {}
         for block in fn.blocks:
-            preds = fn.predecessors(block)
+            preds = self._preds.get(block, [])
             if block is fn.entry:
                 entry = self.circuit.add(Entry(f"entry_{block.name}"))
                 self._ctrl_points[id(block)] = (entry, "out")
@@ -545,7 +544,7 @@ class _Builder:
 
             for succ in succs:
                 routed = self._routed_values(succ)
-                pred_list = fn.predecessors(succ)
+                pred_list = self._preds[succ]
                 pred_idx = next(
                     k for k, p in enumerate(pred_list) if p is block
                 )
@@ -752,7 +751,7 @@ class _Builder:
         # The block executes every iteration iff it dominates every
         # back-edge tail of its loop.
         tails = [
-            tail for tail, header in back_edges(self.fn)
+            tail for tail, header in self._back_edges
             if header is loop.header
         ]
         return not all(block in self.doms.get(t, set()) for t in tails)
@@ -760,7 +759,7 @@ class _Builder:
     def _skip_edge_ctrl(self, op) -> Endpoint:
         """Control endpoint of the edge taken when the op's block is skipped."""
         block = self._block_of(op)
-        preds = self.fn.predecessors(block)
+        preds = self._preds.get(block, [])
         if len(preds) != 1 or not isinstance(preds[0].terminator, BranchInst):
             raise CompileError(
                 f"{self.fn.name}: conditional PreVV op {op.name} must sit in "

@@ -1111,16 +1111,31 @@ def clear_plan_cache() -> None:
     _CACHE_STATS["misses"] = 0
 
 
-def plan_for(circuit: Circuit, count_transfers: bool = False) -> CompiledPlan:
+def plan_cached(key: Tuple) -> bool:
+    """True when a plan for this :func:`structural_key` is cached.
+
+    A pure query: it counts neither a hit nor a miss.
+    """
+    return key in _PLAN_CACHE
+
+
+def plan_for(
+    circuit: Circuit,
+    count_transfers: bool = False,
+    key: Optional[Tuple] = None,
+) -> CompiledPlan:
     """Compile ``circuit`` (or fetch the cached plan for its structure).
 
-    Raises :class:`CodegenUnsupportedError` when the circuit cannot be
-    compiled; :func:`why_not_compilable` gives the reason.
+    ``key`` is the circuit's :func:`structural_key` when the caller has
+    already computed it.  Raises :class:`CodegenUnsupportedError` when
+    the circuit cannot be compiled; :func:`why_not_compilable` gives the
+    reason.
     """
     reason = why_not_compilable(circuit)
     if reason is not None:
         raise CodegenUnsupportedError(f"{circuit.name}: {reason}")
-    key = structural_key(circuit, count_transfers)
+    if key is None:
+        key = structural_key(circuit, count_transfers)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         _CACHE_STATS["hits"] += 1
@@ -1155,6 +1170,9 @@ class CompiledSimulator:
     :class:`CodegenUnsupportedError`); ``count_transfers=True`` keeps
     per-channel transfer counts — the only per-channel statistic the
     analysis layers read — at a fraction of the interpreted stat cost.
+    ``key`` is the circuit's :func:`structural_key` when the caller has
+    already computed it (:func:`~repro.dataflow.simulator.make_simulator`
+    does, to test for a plan-cache hit).
 
     After a completed :meth:`run`, channel ``valid``/``data`` hold their
     settled (all-idle) values; ``ready`` attributes are left stale from
@@ -1162,6 +1180,7 @@ class CompiledSimulator:
     """
 
     engine_name = "compiled"
+    engine_reason = "requested"
 
     def __init__(
         self,
@@ -1172,6 +1191,7 @@ class CompiledSimulator:
         trace=None,
         collect_stats: bool = False,
         count_transfers: bool = False,
+        key: Optional[Tuple] = None,
     ):
         if trace is not None:
             raise CodegenUnsupportedError(
@@ -1193,7 +1213,7 @@ class CompiledSimulator:
         self.end_of_cycle_hooks: List[Callable] = []
         self.abort_condition: Optional[Callable[[], bool]] = None
         circuit.validate()
-        self.plan = plan_for(circuit, count_transfers)
+        self.plan = plan_for(circuit, count_transfers, key)
         self._step_fn, self._transfer_counts = self.plan.bind(circuit)
         self._channels = list(circuit.channels)
         self._busy_comps = [
@@ -1234,8 +1254,11 @@ class CompiledSimulator:
         flag replaces the done condition's channel scan.  Signals are
         spilled as soon as a cycle makes no progress, so deadlock
         diagnostics see live values.
+
+        Like :meth:`Simulator.run`, this continues from the current cycle
+        and quiet-cycle count, which is how a tiered ``auto`` run hands
+        off to this engine mid-run.
         """
-        self._quiet_cycles = 0
         split = getattr(done, "split", None)
         fast = (
             split is not None

@@ -28,6 +28,7 @@ class ReferenceSimulator:
     """Drives a :class:`Circuit` cycle by cycle (seed algorithm)."""
 
     engine_name = "reference"
+    engine_reason = "requested"
 
     def __init__(
         self,

@@ -80,6 +80,8 @@ class Simulator:
     """Drives a :class:`Circuit` cycle by cycle."""
 
     engine_name = "levelized"
+    #: why :func:`make_simulator` picked this engine (see there)
+    engine_reason = "requested"
 
     def __init__(
         self,
@@ -325,16 +327,32 @@ class Simulator:
     # Full runs
     # ------------------------------------------------------------------
     def run(self, done: Callable[[], bool]) -> SimulationStats:
-        """Run until ``done()`` is true; raise on deadlock or cycle budget."""
-        self._quiet_cycles = 0
+        """Run until ``done()`` is true; raise on deadlock or cycle budget.
+
+        A simulator holds one run: this continues from the current cycle
+        and the deadlock detector's quiet-cycle count.
+        """
+        self._run(done)
+        return self.stats
+
+    def _run(
+        self, done: Callable[[], bool], stop_at: Optional[int] = None
+    ) -> bool:
+        """The run loop, continuing from the current cycle and quiet count.
+
+        Returns False when it stopped at cycle ``stop_at`` with the run
+        unfinished (another cycle was due), True when the run ended.
+        """
         while not done():
             if self.abort_condition is not None and self.abort_condition():
-                return self.stats
+                return True
             if self.stats.cycles >= self.max_cycles:
                 raise SimulationError(
                     f"{self.circuit.name}: exceeded {self.max_cycles} cycles "
                     "without completing"
                 )
+            if self.stats.cycles == stop_at:
+                return False
             fired = self.step()
             busy = fired > 0 or any(c.is_busy for c in self._busy_comps)
             if busy:
@@ -343,7 +361,7 @@ class Simulator:
                 self._quiet_cycles += 1
                 if self._quiet_cycles >= self.deadlock_window:
                     self._raise_deadlock()
-        return self.stats
+        return True
 
     def run_cycles(self, n: int) -> SimulationStats:
         """Run exactly ``n`` cycles (no completion/deadlock checks)."""
@@ -365,8 +383,77 @@ class Simulator:
 # ----------------------------------------------------------------------
 # Engine selection
 # ----------------------------------------------------------------------
-#: engines make_simulator accepts; "auto" prefers compiled when eligible.
+#: engines make_simulator accepts; "auto" is the tiered policy below.
 ENGINES = ("auto", "compiled", "levelized", "reference")
+
+#: Cycle at which an ``auto`` run that missed the plan cache hands off
+#: from the interpreted :class:`Simulator` to compiled code.  A plan miss
+#: and the per-cycle saving of compiled code both grow with the
+#: component count, so break-even is a cycle count, not a circuit size.
+#: On generated kernels the median break-even was 217 cycles.  Handing
+#: off at break-even keeps every run within twice the cost of the better
+#: single engine (the ski-rental rule).  DESIGN.md section 11 has the
+#: measurement and a sweep of this constant.
+HANDOFF_CYCLE = 200
+
+
+class _TieredSimulator(Simulator):
+    """``engine="auto"`` after a plan-cache miss.
+
+    :meth:`run` interprets up to :data:`HANDOFF_CYCLE`.  A run still
+    going at that cycle boundary compiles its plan and continues on a
+    :class:`~repro.dataflow.codegen.CompiledSimulator` over the same
+    circuit objects.  That is sound because the emitted step keeps no
+    signal state across cycles (phase 1 recomputes every channel) and
+    all sequential state, token caches included, lives on the shared
+    components.  The compiled engine takes over this simulator's stats,
+    hooks, abort condition and quiet-cycle count, so cycle counts and
+    deadlock reports equal a whole run on one engine.  ``engine_name``
+    and ``engine_reason`` name the engine that finished the run.
+    :meth:`step` and :meth:`run_cycles` stay interpreted.
+    """
+
+    engine_reason = "plan-cache miss: interpreting"
+
+    def __init__(self, circuit: Circuit, key, count_transfers: bool,
+                 **kwargs):
+        # Interpreted engines supply transfer counts via full stats.
+        super().__init__(circuit, collect_stats=count_transfers, **kwargs)
+        self._key = key
+        self._count_transfers = count_transfers
+
+    def run(self, done: Callable[[], bool]) -> SimulationStats:
+        if self._run(done, stop_at=HANDOFF_CYCLE):
+            self.engine_reason = (
+                f"finished interpreted at {self.stats.cycles} cycles"
+            )
+            return self.stats
+        from .codegen import CodegenUnsupportedError, CompiledSimulator
+
+        try:
+            compiled = CompiledSimulator(
+                self.circuit,
+                max_cycles=self.max_cycles,
+                deadlock_window=self.deadlock_window,
+                count_transfers=self._count_transfers,
+                key=self._key,
+            )
+        except CodegenUnsupportedError as exc:
+            self.engine_reason = f"compiler declined: {exc}"
+            self._run(done)
+            return self.stats
+        compiled.stats = self.stats
+        compiled.end_of_cycle_hooks = self.end_of_cycle_hooks
+        compiled.abort_condition = self.abort_condition
+        compiled._quiet_cycles = self._quiet_cycles
+        self.engine_name = compiled.engine_name
+        self.engine_reason = f"handoff at cycle {self.stats.cycles}"
+        return compiled.run(done)
+
+
+def _chosen(sim, reason: str):
+    sim.engine_reason = reason
+    return sim
 
 
 def make_simulator(
@@ -379,59 +466,72 @@ def make_simulator(
     collect_stats: bool = False,
     count_transfers: bool = False,
 ):
-    """Build the best simulator for ``circuit`` under one engine policy.
+    """Build the simulator for ``circuit`` under one engine policy.
 
     ``engine``:
 
-    * ``"auto"`` — the compiled engine when eligible (no trace, no
-      per-channel stats, circuit accepted by the compiler), otherwise
-      the interpreted :class:`Simulator`.
-    * ``"compiled"`` — request the compiled engine, but *fall back* to
-      the interpreted engine when the compiler declines (callers must
-      read ``sim.engine_name`` for the engine actually used — this is
-      what the bench/eval layers record per point).
+    * ``"auto"`` — tiered.  A trace or per-channel stats need the
+      interpreted :class:`Simulator`.  Otherwise, when the circuit's
+      :func:`~repro.dataflow.codegen.structural_key` is already in the
+      plan cache, the compiled engine runs from cycle 0.  On a miss the
+      run starts interpreted and, if it has not finished by
+      :data:`HANDOFF_CYCLE`, compiles the plan and continues the same
+      run on the compiled engine, so short runs never pay for codegen.
+    * ``"compiled"`` — compile unconditionally, but *fall back* to the
+      interpreted engine when the compiler declines.
     * ``"levelized"`` — the interpreted :class:`Simulator`.
     * ``"reference"`` — the seed worklist oracle.
 
+    Callers read ``sim.engine_name`` *after* ``run`` for the engine that
+    finished the run, and ``sim.engine_reason`` for why: ``"requested"``,
+    ``"stats/trace requested"``, ``"plan-cache hit"``, ``"finished
+    interpreted at N cycles"``, ``"handoff at cycle N"`` or ``"compiler
+    declined: ..."``.
+
     ``count_transfers`` asks for per-channel transfer counts; the
     compiled engine supplies them via its fused counters, the
-    interpreted fallbacks via full ``collect_stats``.
+    interpreted engines via full ``collect_stats``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine == "reference":
-        from .reference import ReferenceSimulator
-
-        return ReferenceSimulator(
-            circuit,
-            max_cycles=max_cycles,
-            deadlock_window=deadlock_window,
-            fixpoint_cap=fixpoint_cap,
-            trace=trace,
-            collect_stats=True if count_transfers else collect_stats,
-        )
-    if (
-        engine in ("auto", "compiled")
-        and trace is None
-        and not collect_stats
-    ):
-        from .codegen import CodegenUnsupportedError, CompiledSimulator
-
-        try:
-            return CompiledSimulator(
-                circuit,
-                max_cycles=max_cycles,
-                deadlock_window=deadlock_window,
-                fixpoint_cap=fixpoint_cap,
-                count_transfers=count_transfers,
-            )
-        except CodegenUnsupportedError:
-            pass  # interpreted fallback below
-    return Simulator(
-        circuit,
+    limits = dict(
         max_cycles=max_cycles,
         deadlock_window=deadlock_window,
         fixpoint_cap=fixpoint_cap,
-        trace=trace,
-        collect_stats=True if count_transfers else collect_stats,
     )
+    stats = collect_stats or count_transfers
+    if engine == "reference":
+        from .reference import ReferenceSimulator
+
+        return _chosen(
+            ReferenceSimulator(circuit, trace=trace, collect_stats=stats,
+                               **limits),
+            "requested",
+        )
+    if engine == "levelized" or trace is not None or collect_stats:
+        return _chosen(
+            Simulator(circuit, trace=trace, collect_stats=stats, **limits),
+            "requested" if engine == "levelized" else "stats/trace requested",
+        )
+    from .codegen import (
+        CodegenUnsupportedError,
+        CompiledSimulator,
+        plan_cached,
+        structural_key,
+    )
+
+    key = structural_key(circuit, count_transfers)
+    if engine == "compiled" or plan_cached(key):
+        try:
+            sim = CompiledSimulator(
+                circuit, count_transfers=count_transfers, key=key, **limits
+            )
+        except CodegenUnsupportedError as exc:
+            return _chosen(
+                Simulator(circuit, collect_stats=stats, **limits),
+                f"compiler declined: {exc}",
+            )
+        return _chosen(
+            sim, "requested" if engine == "compiled" else "plan-cache hit"
+        )
+    return _TieredSimulator(circuit, key, count_transfers, **limits)

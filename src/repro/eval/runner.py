@@ -37,9 +37,14 @@ class RunResult:
     queue_full_stalls: int = 0
     lsq_alloc_stalls: int = 0
     transfers: int = 0
-    #: simulation engine actually used ("compiled", "levelized", ...);
-    #: may differ from the requested engine when the compiler declines.
+    #: engine that finished the simulation ("compiled", "levelized",
+    #: ...); may differ from the requested engine when the compiler
+    #: declines or a tiered ``auto`` run hands off.
     engine: str = ""
+    #: why that engine ran: "plan-cache hit", "finished interpreted at N
+    #: cycles", "handoff at cycle N", "compiler declined: ...", "stats/
+    #: trace requested" or "requested" (see make_simulator)
+    engine_reason: str = ""
     build: Optional[BuildResult] = None
 
     @property
@@ -108,6 +113,7 @@ def _finalize(
     cycles: int,
     transfers: int,
     engine: str,
+    engine_reason: str = "",
     keep_build: bool = False,
 ) -> RunResult:
     """Collect a finished simulation into a :class:`RunResult`."""
@@ -124,6 +130,7 @@ def _finalize(
         golden=golden.memory,
         transfers=transfers,
         engine=engine,
+        engine_reason=engine_reason,
         build=build if keep_build else None,
     )
     if build.squash_controller is not None:
@@ -161,9 +168,12 @@ def run_kernel(
     fast path) — nothing in the evaluation tables reads them.  Passing a
     ``trace`` turns them back on so captured waveforms stay complete;
     ``collect_stats`` overrides either way.  ``engine`` selects the
-    simulation engine (see :func:`repro.dataflow.make_simulator`);
-    :attr:`RunResult.engine` records the engine actually used, which may
-    be an interpreted fallback when the compiler declines the circuit.
+    simulation engine (see :func:`repro.dataflow.make_simulator`).  The
+    default ``"auto"`` is tiered: compiled from cycle 0 on a plan-cache
+    hit, otherwise interpreted until the run is long enough to be worth
+    compiling, then handed off to compiled code mid-run.
+    :attr:`RunResult.engine` records the engine that finished the run
+    and :attr:`RunResult.engine_reason` why it ran.
     """
     fn = kernel.build_ir()
     golden = run_golden(fn, args=kernel.args, memory=kernel.memory_init)
@@ -182,7 +192,8 @@ def run_kernel(
     return _finalize(
         kernel, config, golden, build,
         cycles=sim.stats.cycles, transfers=sim.stats.transfers,
-        engine=sim.engine_name, keep_build=keep_build,
+        engine=sim.engine_name, engine_reason=sim.engine_reason,
+        keep_build=keep_build,
     )
 
 

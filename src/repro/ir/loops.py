@@ -38,9 +38,15 @@ def dominators(fn: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
     return dom
 
 
-def back_edges(fn: Function) -> List[Tuple[BasicBlock, BasicBlock]]:
-    """Edges (tail -> header) where the header dominates the tail."""
-    dom = dominators(fn)
+def back_edges(
+    fn: Function, dom: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
+) -> List[Tuple[BasicBlock, BasicBlock]]:
+    """Edges (tail -> header) where the header dominates the tail.
+
+    ``dom`` is ``dominators(fn)`` when the caller already has it.
+    """
+    if dom is None:
+        dom = dominators(fn)
     edges = []
     for block in fn.reachable_blocks():
         for succ in block.successors:
@@ -92,14 +98,17 @@ def _natural_loop(
     return body
 
 
-def find_loops(fn: Function) -> List[Loop]:
+def find_loops(
+    fn: Function, dom: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
+) -> List[Loop]:
     """All natural loops, innermost-last, with parent/child nesting links.
 
-    Loops sharing a header are merged (single Loop per header).
+    Loops sharing a header are merged (single Loop per header).  ``dom``
+    is ``dominators(fn)`` when the caller already has it.
     """
     by_header: Dict[BasicBlock, Loop] = {}
     preds_of = fn.predecessor_map()
-    for tail, header in back_edges(fn):
+    for tail, header in back_edges(fn, dom):
         body = _natural_loop(preds_of, tail, header)
         loop = by_header.get(header)
         if loop is None:

@@ -136,3 +136,40 @@ class TestConfig:
     def test_with_override(self):
         cfg = HardwareConfig(memory_style="prevv").with_(prevv_depth=64)
         assert cfg.prevv_depth == 64
+
+
+def test_loop_analysis_runs_once_per_compile(monkeypatch):
+    """compile_function derives loops once (in the IR lint it runs first)
+    and reuses them everywhere, and never scans blocks per predecessor
+    query: the builder reads ``Function.predecessor_map``."""
+    import sys
+
+    from repro.ir import loops as loops_mod
+    from repro.ir.function import Function as FunctionCls
+    from repro.kernels import kernel_names
+
+    calls = {"find_loops": 0, "predecessors": 0}
+    find_loops = loops_mod.find_loops
+
+    def counted_find_loops(*args, **kwargs):
+        calls["find_loops"] += 1
+        return find_loops(*args, **kwargs)
+
+    def counted_predecessors(self, block):
+        calls["predecessors"] += 1
+        return [b for b in self.blocks if block in b.successors]
+
+    # Callers bind find_loops by name at import: patch every binding.
+    for module in list(sys.modules.values()):
+        if (
+            getattr(module, "__name__", "").startswith("repro")
+            and getattr(module, "find_loops", None) is find_loops
+        ):
+            monkeypatch.setattr(module, "find_loops", counted_find_loops)
+    monkeypatch.setattr(FunctionCls, "predecessors", counted_predecessors)
+
+    names = kernel_names()
+    for name in names:
+        kernel = get_kernel(name)
+        compile_function(kernel.build_ir(), PREVV, args=kernel.args)
+    assert calls == {"find_loops": len(names), "predecessors": 0}

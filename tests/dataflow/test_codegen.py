@@ -4,8 +4,9 @@ Bit-identity of :class:`~repro.dataflow.CompiledSimulator` against the
 seed engine lives in ``test_engine_equivalence.py``; this file pins the
 compiler's *machinery* — the structural plan cache (one compilation per
 circuit structure, across :func:`repro.eval.runner.run_batch`), the
-decline diagnostics, engine-selection fallback, the fused transfer
-counters, and the emitted-source debug artifact.
+decline diagnostics, the tiered ``auto`` engine policy and its
+fallbacks, the fused transfer counters, and the emitted-source debug
+artifact.
 """
 
 import pytest
@@ -29,7 +30,9 @@ from repro.dataflow import (
     why_not_compilable,
 )
 from repro.dataflow.component import Component
+from repro.dataflow import simulator as simulator_mod
 from repro.dataflow.codegen import CODEGEN_VERSION, structural_key
+from repro.dataflow.simulator import HANDOFF_CYCLE
 from repro.errors import CodegenUnsupportedError
 from repro.eval.configs import DYNAMATIC, PREVV16
 from repro.eval.runner import make_done_condition, run_batch, run_kernel
@@ -162,11 +165,74 @@ class TestDeclines:
 # ----------------------------------------------------------------------
 # Engine selection and fallback
 # ----------------------------------------------------------------------
+def _run_auto(build):
+    sim = make_simulator(build.circuit, engine="auto", max_cycles=200_000)
+    started_as = sim.engine_name
+    if build.squash_controller is not None:
+        sim.end_of_cycle_hooks.append(build.squash_controller.end_of_cycle)
+    sim.run(make_done_condition(build))
+    return started_as, sim
+
+
 class TestEngineSelection:
-    def test_auto_picks_compiled_on_kernel_circuits(self):
-        build = _build()
-        sim = make_simulator(build.circuit, engine="auto")
+    """The tiered ``auto`` policy: compiled from cycle 0 on a plan-cache
+    hit; otherwise levelized, handed off to compiled code at
+    ``HANDOFF_CYCLE`` if the run is still going."""
+
+    def test_auto_miss_starts_levelized(self):
+        clear_plan_cache()
+        started_as, sim = _run_auto(_build("polyn_mult", n=4))
+        assert started_as == "levelized"
+        assert sim.stats.cycles < HANDOFF_CYCLE
+        assert sim.engine_name == "levelized"
+        assert sim.engine_reason == (
+            f"finished interpreted at {sim.stats.cycles} cycles"
+        )
+        assert plan_cache_stats() == {"hits": 0, "misses": 0}
+
+    def test_auto_hit_starts_compiled(self):
+        clear_plan_cache()
+        plan_for(_build("polyn_mult", n=4).circuit)
+        started_as, sim = _run_auto(_build("polyn_mult", n=4))
+        assert started_as == "compiled"
+        assert sim.engine_reason == "plan-cache hit"
+        assert plan_cache_stats() == {"hits": 1, "misses": 1}
+
+    def test_auto_long_run_hands_off(self):
+        clear_plan_cache()
+        started_as, sim = _run_auto(_build("polyn_mult", n=30))
+        assert started_as == "levelized"
+        assert sim.stats.cycles > HANDOFF_CYCLE
         assert sim.engine_name == "compiled"
+        assert sim.engine_reason == f"handoff at cycle {HANDOFF_CYCLE}"
+        assert plan_cache_stats() == {"hits": 0, "misses": 1}
+
+    def test_auto_declined_circuit_stays_levelized(self, monkeypatch):
+        monkeypatch.setattr(simulator_mod, "HANDOFF_CYCLE", 1)
+        build = _build("polyn_mult", n=4)
+        op = next(c for c in build.circuit.components
+                  if isinstance(c, OpaqueBuffer))
+        op.propagate = type(op).propagate.__get__(op)  # decline trigger
+        started_as, sim = _run_auto(build)
+        assert (started_as, sim.engine_name) == ("levelized", "levelized")
+        assert sim.engine_reason.startswith("compiler declined: ")
+        assert why_not_compilable(build.circuit) in sim.engine_reason
+
+    def test_run_result_records_the_decision(self):
+        clear_plan_cache()
+        short = run_kernel(get_kernel("polyn_mult", n=4), DYNAMATIC)
+        assert (short.engine, short.engine_reason) == (
+            "levelized", f"finished interpreted at {short.cycles} cycles"
+        )
+        long = run_kernel(get_kernel("polyn_mult", n=30), DYNAMATIC)
+        assert (long.engine, long.engine_reason) == (
+            "compiled", f"handoff at cycle {HANDOFF_CYCLE}"
+        )
+        again = run_kernel(get_kernel("polyn_mult", n=30), DYNAMATIC)
+        assert (again.engine, again.engine_reason) == (
+            "compiled", "plan-cache hit"
+        )
+        assert (again.cycles, again.memory) == (long.cycles, long.memory)
 
     def test_compiled_request_falls_back_when_declined(self):
         circuit, sink = _pipeline()
@@ -174,6 +240,7 @@ class TestEngineSelection:
         buf.propagate = type(buf).propagate.__get__(buf)  # decline trigger
         sim = make_simulator(circuit, engine="compiled")
         assert sim.engine_name == "levelized"
+        assert sim.engine_reason.startswith("compiler declined: ")
         sim.run_cycles(20)
         assert sink.values == [3, 3, 3, 3, 3]
 
@@ -199,6 +266,7 @@ class TestEngineSelection:
         circuit, _ = _pipeline()
         sim = make_simulator(circuit, engine="auto", collect_stats=True)
         assert sim.engine_name == "levelized"
+        assert sim.engine_reason == "stats/trace requested"
 
 
 # ----------------------------------------------------------------------
